@@ -445,7 +445,7 @@ def bench_live_pipelined_batched(duration_s: float,
 
     config = _pipelined_config(
         duration_s, rate_ops_s, "perf-live-pipelined-batched",
-        repl_batch=ReplicationBatchConfig(enabled=True, max_versions=64,
+        repl_batch=ReplicationBatchConfig(max_versions=64,
                                           max_bytes=256 * 1024,
                                           flush_ms=5.0),
     )
@@ -486,7 +486,7 @@ def _scaling_config(duration_s: float, rate_ops_s: float, name: str):
 
     return _pipelined_config(
         duration_s, rate_ops_s, name,
-        repl_batch=ReplicationBatchConfig(enabled=True, max_versions=64,
+        repl_batch=ReplicationBatchConfig(max_versions=64,
                                           max_bytes=256 * 1024,
                                           flush_ms=5.0),
     )
@@ -706,8 +706,7 @@ def bench_repl_batching(duration_s: float, protocols: tuple,
         failed |= legs["off"]["violations"] > 0
         for batch in batch_sizes:
             leg = one_run(protocol, ReplicationBatchConfig(
-                enabled=True, max_versions=batch, max_bytes=1 << 20,
-                flush_ms=20.0,
+                max_versions=batch, max_bytes=1 << 20, flush_ms=20.0,
             ))
             legs[f"batch_{batch}"] = leg
             failed |= leg["violations"] > 0

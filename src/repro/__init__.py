@@ -54,7 +54,6 @@ from repro.harness.replicates import (
     ReplicatedResult,
     run_replicates,
 )
-from repro.metrics.timeseries import RateSeries, WindowedSampler
 from repro.protocols.recovery import (
     RecoveryReport,
     lost_update_exposure,
@@ -90,7 +89,6 @@ __all__ = [
     "PROTOCOLS",
     "ProtocolConfig",
     "ProtocolError",
-    "RateSeries",
     "RecoveryReport",
     "ReplicatedResult",
     "ReproError",
@@ -101,7 +99,6 @@ __all__ = [
     "VectorClock",
     "Version",
     "Violation",
-    "WindowedSampler",
     "WORKLOAD_PRESETS",
     "WorkloadConfig",
     "build_cluster",

@@ -166,27 +166,26 @@ class ProtocolConfig:
 class ReplicationBatchConfig:
     """Protocol-level inter-DC replication batching (Okapi's amortization).
 
-    When enabled, each partition server accumulates the versions it
-    creates and ships them to its peer replicas as one
-    :class:`~repro.protocols.messages.ReplicateBatch` per flush instead
-    of one ``Replicate`` per write.  A flush happens when the buffer
-    reaches ``max_versions`` or ``max_bytes``, or ``flush_ms`` after the
-    first buffered version — whichever comes first.  Every batch carries
-    the source's clock read at flush time, doubling as a heartbeat (the
-    explicit heartbeat is suppressed while batches keep the remote
-    ``VV`` entries fresh), and Okapi* aggregators additionally piggyback
-    their data-center stable time on outgoing batches, amortizing the
-    UST gossip the same way.
+    Batching is on iff ``max_versions > 1``: each partition server then
+    accumulates the versions it creates and ships them to its peer
+    replicas as one :class:`~repro.protocols.messages.ReplicateBatch`
+    per flush instead of one ``Replicate`` per write.  A flush happens
+    when the buffer reaches ``max_versions`` or ``max_bytes``, or
+    ``flush_ms`` after the first buffered version — whichever comes
+    first.  Every batch carries the source's clock read at flush time,
+    doubling as a heartbeat (the explicit heartbeat is suppressed while
+    batches keep the remote ``VV`` entries fresh), and Okapi*
+    aggregators additionally piggyback their data-center stable time on
+    outgoing batches, amortizing the UST gossip the same way.
 
-    Default **off**: with batching disabled the replication path is the
+    Default **off** (``max_versions=1``): the replication path is the
     per-write fan-out, bit-for-bit, so per-seed simulation reports stay
     byte-identical to the pre-batching engine.
     """
 
-    enabled: bool = False
-    #: Flush once this many versions are buffered.  ``1`` degenerates to
-    #: one single-version batch per write (the equivalence tests' knob).
-    max_versions: int = 64
+    #: Flush once this many versions are buffered; ``1`` (a batch per
+    #: write) is no batching at all — no batcher is built.
+    max_versions: int = 1
     #: Flush once the buffered versions' modeled wire size reaches this.
     max_bytes: int = 65536
     #: Flush this long after the first buffered version (the visibility

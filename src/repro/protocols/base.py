@@ -167,13 +167,14 @@ class CausalServer(ProtocolCore):
         self._service = config.service
         self._protocol = config.protocol_config
         # Replication batching (off by default): one ReplicateBatch per
-        # flush instead of one Replicate per write.  When disabled the
-        # batcher does not exist and replicate() takes the per-write
+        # flush instead of one Replicate per write.  With batches of one
+        # the batcher does not exist and replicate() takes the per-write
         # fan-out path bit-for-bit, keeping per-seed reports identical.
         batch_config = config.repl_batch
         self._batcher = (
             ReplicationBatcher(self.rt, batch_config, self._ship_batch)
-            if batch_config.enabled and self._peer_replicas else None
+            if batch_config.max_versions > 1 and self._peer_replicas
+            else None
         )
         # Transactions this node currently coordinates: tx_id -> state.
         self._active_tx: dict[int, dict] = {}
@@ -352,17 +353,9 @@ class CausalServer(ProtocolCore):
         and channels are FIFO — the receiver may advance its VV entry to
         it once the batch is applied.  The existing write-idle check in
         :meth:`_heartbeat_tick` then suppresses the explicit heartbeat
-        while batches keep the clock fresh.
-
-        A flush carrying exactly one version degenerates to the plain
-        per-write ``Replicate`` — no envelope, no clock stamp — so
-        ``max_versions=1`` reproduces the batching-off engine
-        bit-for-bit (the equivalence anchor the regression tests pin).
+        while batches keep the clock fresh.  A lone version flushed by
+        the deadline ships the same way: batching has one ship path.
         """
-        if len(versions) == 1:
-            self.send_fanout(self._peer_replicas,
-                             m.Replicate(version=versions[0]))
-            return
         ts = self._stamp_flush_clock()
         self.send_fanout(self._peer_replicas, m.ReplicateBatch(
             versions=versions, src_dc=self.m, clock_ts=ts,

@@ -4,27 +4,27 @@ chaos matrix.
 :func:`run_crash_experiment` is ``run_live_experiment`` with a fault
 knob: one partition server (the *victim*) runs as a real OS subprocess
 (``python -m repro.runtime.serve --dc D --partition P --data-dir …``)
-while everything else — the other servers, the clients, the drivers and
-the causal checker — runs in-process.  Mid-workload the victim is
-**SIGKILLed**, left down for a configured window, restarted from its
-data directory (WAL + snapshot recovery, then replication catch-up
-against its peers), and finally SIGTERMed so its graceful-shutdown path
-(flush the WAL before the transport, exit non-zero on failure) is
-exercised too.
+while everything else runs in-process on the :class:`LiveCluster`
+lifecycle.  Inside the measurement window the victim is **SIGKILLed**,
+left down for a configured time and restarted from its data directory
+(WAL + snapshot recovery, then replication catch-up); between the
+window and the shutdown it is SIGTERMed, exercising its graceful path
+(flush the WAL before the transport, exit non-zero on failure) too.
 
 :func:`run_chaos_matrix` runs the named hostile-network scenarios
 (asymmetric cuts, probabilistic loss, congested links, clock-skew
-spikes, stalled disks, full-DC failover) across protocols, each cell
-gated on **zero causal-checker violations and replica convergence** —
-see the module-level ``SCENARIOS`` registry and ``docs/chaos.md``.
+spikes, stalled disks, full-DC failover, kill-mid-reshard on the same
+victim runner) across protocols, each cell gated on **zero
+causal-checker violations and replica convergence** — see the
+module-level ``SCENARIOS`` registry and ``docs/chaos.md``.
 
 The verdict (:class:`CrashReport`) gates on exactly what the paper's
 fault-tolerance story needs and nothing the crash legitimately breaks:
 
 * the independent :class:`~repro.verification.checker.CausalChecker`
   reports **zero violations** over the whole run, crash included;
-* **no acknowledged write is lost**: every PUT the victim acknowledged
-  is present in (or dominated within) its recovered on-disk state;
+* **no acknowledged write is lost** (:func:`audit_acked_writes`), and
+  the victim acknowledged some;
 * the victim **rejoins**: operations complete after the restart;
 * the final SIGTERM shutdown exits 0 (WAL flushed cleanly).
 
@@ -36,12 +36,12 @@ gated on.
 from __future__ import annotations
 
 import asyncio
-import os
+import contextlib
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
 
 from repro.common.config import (
     AntiEntropyConfig,
@@ -51,22 +51,24 @@ from repro.common.config import (
     smoke_scale_cluster,
 )
 from repro.common.errors import ReproError
-from repro.common.types import version_order_key
+from repro.common.types import Address, version_order_key
 from repro.cluster.topology import Topology
 from repro.harness.builders import BuiltCluster, build_cluster
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.runtime.cluster import LiveCluster, LiveReport
 from repro.runtime.configfile import save_experiment_config
-from repro.runtime.supervisor import subprocess_env
+from repro.runtime.supervisor import TERM_TIMEOUT_S, subprocess_env
+from repro.runtime.transport import LiveHub
 from repro.verification.convergence import check_convergence
+from repro.verification.history import WriteEvent
 
 # NOTE: repro.persistence imports are deferred into the functions below:
 # persistence depends on the codec (hence on this package's __init__), so
 # a module-level import here would be circular.
 
-#: How long the harness waits for the victim subprocess to exit after
-#: SIGTERM before declaring the graceful-shutdown gate failed.
-TERM_TIMEOUT_S = 15.0
+#: Quiesce budget of a run whose victim was SIGKILLed: operations in
+#: flight at the kill died with their frames and never complete.
+CRASH_SETTLE_S = 3.0
 
 
 @dataclass(slots=True)
@@ -90,20 +92,24 @@ class CrashReport:
     restart_time_s: float
     #: Exit status of the victim's final (SIGTERM) shutdown.
     server_exit_code: int | None
-    #: PUTs the victim acknowledged (observed by the driving process).
+    #: PUTs the victim acknowledged (observed by the driving process) —
+    #: the non-vacuity gate: a crash that hit an idle server proves
+    #: nothing about durability.
     acked_victim_writes: int
-    #: Acknowledged victim writes absent from — and not dominated in —
-    #: the recovered on-disk state.  Must be empty.
-    lost_victim_writes: list[str] = field(default_factory=list)
+    #: Acknowledged writes (of any partition) absent from — and not
+    #: dominated in — their origin DC's recovered on-disk state.  Must
+    #: be empty.
+    lost_writes: list[str] = field(default_factory=list)
     #: Operations that completed after the victim came back.
     ops_after_restart: int = 0
+    #: Versions the victim's own directory recovers after the run.
     recovered_versions: int = 0
     victim_dir: str = ""
 
     @property
     def passed(self) -> bool:
         return (not self.live.violations
-                and not self.lost_victim_writes
+                and not self.lost_writes
                 and self.ops_after_restart > 0
                 and self.acked_victim_writes > 0
                 and self.server_exit_code == 0)
@@ -116,7 +122,7 @@ class CrashReport:
             f"  checker         : {len(self.live.violations)} violations "
             f"over {self.live.verification['reads_checked']} reads",
             f"  durability      : {self.acked_victim_writes} acked victim "
-            f"writes, {len(self.lost_victim_writes)} lost "
+            f"writes, {len(self.lost_writes)} acked writes lost "
             f"({self.recovered_versions} versions recovered on disk)",
             f"  rejoin          : {self.ops_after_restart} ops completed "
             f"after restart",
@@ -124,95 +130,143 @@ class CrashReport:
         ]
         for violation in self.live.violations[:5]:
             lines.append(f"    violation: {violation}")
-        for lost in self.lost_victim_writes[:5]:
+        for lost in self.lost_writes[:5]:
             lines.append(f"    lost: {lost}")
         return "\n".join(lines)
 
 
-def _serve_command(config_path: Path, fault: CrashFault, host: str,
-                   base_port: int) -> list[str]:
-    return [
-        sys.executable, "-m", "repro.runtime.serve",
-        "--config", str(config_path),
-        "--dc", str(fault.dc), "--partition", str(fault.partition),
-        "--host", host, "--base-port", str(base_port),
-    ]
+def audit_acked_writes(
+    topology: Topology, writes: Iterable[WriteEvent], data_dir: Path
+) -> tuple[list[WriteEvent], list[str], dict[Address, int]]:
+    """The acked-write durability audit, per data center.
 
+    Every write acknowledged in DC *m* must be present in — or dominated
+    within — the union of what *all* of DC *m*'s partition directories
+    recover.  The union, not the owner's directory alone: a reshard
+    legitimately moves a key's chains between directories (and the donor
+    purges its copy after commit); without one a key only ever lands in
+    its owner's directory, so the union changes no verdict.  Dominated,
+    not just present: garbage collection, snapshots and overwrites drop
+    superseded versions without losing anything a reader could miss.
 
-def _supervise_command(config_path: Path, fault: CrashFault, host: str,
-                       base_port: int) -> list[str]:
-    """The victim behind a one-child ``repro-supervise`` tree: the
-    SIGKILL lands on the supervisor, PDEATHSIG takes the serve child
-    down with it, and the restart must still recover from disk."""
-    return [
-        sys.executable, "-m", "repro.runtime.supervisor",
-        "--config", str(config_path),
-        "--dc", str(fault.dc), "--partition", str(fault.partition),
-        "--host", host, "--base-port", str(base_port),
-        "--log-dir", str(config_path.parent / "supervise"),
-    ]
-
-
-def _subprocess_env() -> dict[str, str]:
-    return subprocess_env()
-
-
-async def _spawn_victim(command: list[str], log_path: Path):
-    log = open(log_path, "ab")
-    try:
-        return await asyncio.create_subprocess_exec(
-            *command, stdout=log, stderr=log, env=_subprocess_env(),
-        )
-    finally:
-        log.close()  # the subprocess holds its own descriptor
-
-
-def _victim_write_check(
-    cluster: LiveCluster, fault: CrashFault, data_dir: Path
-) -> tuple[int, list[str], int]:
-    """Compare acknowledged victim writes against the recovered disk.
-
-    A write is *lost* only if the recovered chain of its key holds
-    nothing at or above it in the LWW order — garbage collection and
-    overwrites legitimately drop superseded versions without losing
-    anything a reader could miss.
+    Returns ``(acked, lost, recovered)``: the audited writes, one line
+    per lost write, and the version count each existing directory
+    recovered.
     """
     from repro.persistence.manager import (
         partition_dirname,
         recover_directory,
     )
-    victim_dir = data_dir / partition_dirname(
-        cluster.topology.server(fault.dc, fault.partition)
-    )
-    recovered = recover_directory(victim_dir, truncate=False,
+    newest: dict[int, dict[Any, tuple[int, int]]] = {}
+    recovered: dict[Address, int] = {}
+    for address in topology.all_servers():
+        directory = data_dir / partition_dirname(address)
+        if not directory.exists():
+            continue
+        state = recover_directory(directory, truncate=False,
                                   delete_covered=False)
-    best_by_key: dict[Any, tuple[int, int]] = {}
-    for version in recovered.versions:
-        order = version.order_key
-        current = best_by_key.get(version.key)
-        if current is None or order > current:
-            best_by_key[version.key] = order
+        recovered[address] = len(state.versions)
+        by_key = newest.setdefault(address.dc, {})
+        for version in state.versions:
+            order = version.order_key
+            current = by_key.get(version.key)
+            if current is None or order > current:
+                by_key[version.key] = order
 
-    acked = 0
+    acked = list(writes)
     lost: list[str] = []
-    for event in cluster.checker.history.writes():
+    for event in acked:
         key, sr, ut = event.version
-        if sr != fault.dc:
-            continue
-        if cluster.topology.partition_of(key) != fault.partition:
-            continue
-        acked += 1
-        best = best_by_key.get(key)
+        best = newest.get(sr, {}).get(key)
         if best is None or best < version_order_key(ut, sr):
             lost.append(
                 f"acked write {event.version} at t={event.time_s:.3f}s "
-                f"not recovered (best on disk: {best})"
+                f"not in DC {sr}'s recovered union (best: {best})"
             )
-    return acked, lost, len(recovered.versions)
+    return acked, lost, recovered
 
 
-async def _run(config: ExperimentConfig, fault: CrashFault, host: str,
-               base_port: int, supervise: bool = False) -> CrashReport:
+def _victim_command(config_path: Path, fault: CrashFault, host: str,
+                    base_port: int, supervise: bool) -> list[str]:
+    """``repro-serve`` for the victim's slot — or, with ``supervise``,
+    a one-child ``repro-supervise`` tree: the SIGKILL lands on the
+    supervisor, PDEATHSIG takes the serve child down with it, and the
+    restart must still recover from disk."""
+    module = "supervisor" if supervise else "serve"
+    command = [
+        sys.executable, "-m", f"repro.runtime.{module}",
+        "--config", str(config_path),
+        "--dc", str(fault.dc), "--partition", str(fault.partition),
+        "--host", host, "--base-port", str(base_port),
+    ]
+    if supervise:
+        command += ["--log-dir", str(config_path.parent / "supervise")]
+    return command
+
+
+class _Victim:
+    """The partition server a live chaos run hosts as a real OS
+    process, so that a real SIGKILL can take it down."""
+
+    def __init__(self, command: list[str], log_path: Path):
+        self.command = command
+        self.log_path = log_path
+        self.proc: asyncio.subprocess.Process | None = None
+        self.kill_time_s = 0.0
+        self.restart_time_s = 0.0
+
+    async def spawn(self) -> None:
+        # The subprocess holds its own descriptor of the log.
+        with open(self.log_path, "ab") as log:
+            self.proc = await asyncio.create_subprocess_exec(
+                *self.command, stdout=log, stderr=log,
+                env=subprocess_env(),
+            )
+
+    async def crash(self, hub: LiveHub, downtime_s: float) -> None:
+        """SIGKILL (no flush, no goodbye), stay down, then restart from
+        the data directory."""
+        self.kill_time_s = hub.now
+        self.proc.kill()
+        await self.proc.wait()
+        await asyncio.sleep(downtime_s)
+        self.restart_time_s = hub.now
+        await self.spawn()
+
+    async def terminate(self) -> int | None:
+        """Graceful SIGTERM stop: the exit code, None if it hung."""
+        self.proc.terminate()
+        try:
+            return await asyncio.wait_for(self.proc.wait(), TERM_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            await self.reap()
+            return None
+
+    async def reap(self) -> None:
+        if self.proc is not None and self.proc.returncode is None:
+            self.proc.kill()
+            await self.proc.wait()
+
+
+async def _run_with_victim(
+    config: ExperimentConfig, fault: CrashFault, host: str, base_port: int,
+    make_window: Callable[[LiveCluster, _Victim],
+                          Callable[[], Awaitable[None]]],
+    supervise: bool = False,
+) -> tuple[LiveCluster, LiveReport, _Victim, int | None]:
+    """One live run with the fault's partition server out of process.
+
+    Everything else — the other servers, the clients, the drivers and
+    the causal checker — runs in this process on the
+    :class:`LiveCluster` lifecycle.  ``make_window`` gets the cluster
+    (not yet started) and the victim, and returns the coroutine function
+    that replaces the plain measurement sleep of
+    :meth:`LiveCluster.run_window`.  Returns the cluster (its history
+    feeds the audit), its report, the victim and the exit code of the
+    victim's graceful stop.
+    """
+    if not config.verify:
+        raise ReproError("crash experiments require config.verify=True")
     persistence = config.persistence
     if not persistence.enabled or not persistence.data_dir:
         raise ReproError("crash experiments need persistence enabled "
@@ -225,8 +279,6 @@ async def _run(config: ExperimentConfig, fault: CrashFault, host: str,
     config_path = data_dir / "cluster.json"
     save_experiment_config(config, str(config_path))
 
-    # Host every server except the victim in-process; the victim is a
-    # real OS process so a real SIGKILL can take it down.
     topology = Topology(config.cluster.num_dcs,
                         config.cluster.num_partitions)
     victim_address = topology.server(fault.dc, fault.partition)
@@ -234,89 +286,68 @@ async def _run(config: ExperimentConfig, fault: CrashFault, host: str,
         config, host=host, base_port=base_port,
         serve_addresses=[address for address in topology.all_servers()
                          if address != victim_address],
-        with_clients=True,
     )
-
-    factory = _supervise_command if supervise else _serve_command
-    command = factory(config_path, fault, host, base_port)
-    log_path = data_dir / "victim.log"
-    # The restart swaps the subprocess mid-run; the cleanup must see the
-    # newest one, hence the one-slot holder.
-    holder = {"proc": await _spawn_victim(command, log_path)}
+    victim = _Victim(
+        _victim_command(config_path, fault, host, base_port, supervise),
+        data_dir / "victim.log")
+    window = make_window(cluster, victim)
+    await victim.spawn()
     try:
-        return await _drive(cluster, holder, config, fault, command,
-                            log_path, data_dir, victim_address)
+        # Ops in flight at the kill instant died with their frames; a
+        # short settle collects everything else without waiting on the
+        # casualties.
+        clean = await cluster.run_window(window,
+                                         settle_timeout_s=CRASH_SETTLE_S)
+        # Graceful stop between the halves: the exit code is a gate (the
+        # victim's WAL-before-transport shutdown must flush cleanly) and
+        # the victim's own final drain still needs our listeners up.
+        exit_code = await victim.terminate()
+        report = await cluster.shutdown(clean)
     finally:
         # Never leak a live repro-serve on its fixed port: a failure
         # anywhere above would otherwise poison every later run that
         # reuses the deterministic port map.
-        victim = holder["proc"]
-        if victim.returncode is None:
-            victim.kill()
-            await victim.wait()
+        await victim.reap()
+    return cluster, report, victim, exit_code
 
 
-async def _drive(cluster: LiveCluster, holder: dict,
-                 config: ExperimentConfig, fault: CrashFault,
-                 command: list[str], log_path: Path, data_dir: Path,
-                 victim_address) -> CrashReport:
+def _ops_after(cluster: LiveCluster, time_s: float) -> int:
+    return sum(1 for event in cluster.checker.history.events
+               if event.time_s > time_s)
+
+
+async def _crash(config: ExperimentConfig, fault: CrashFault, host: str,
+                 base_port: int, supervise: bool) -> CrashReport:
     from repro.persistence.manager import partition_dirname
-    victim = holder["proc"]
-    await cluster.start()
-    stagger = min(config.workload.think_time_s or 0.01, 0.02)
-    for driver in cluster.drivers:
-        driver.start(stagger_s=stagger)
-    await asyncio.sleep(config.warmup_s)
-    cluster.metrics.arm(cluster.hub.now)
 
-    await asyncio.sleep(fault.kill_after_s)
-    kill_time = cluster.hub.now
-    victim.kill()  # SIGKILL: no flush, no goodbye
-    await victim.wait()
+    def make_window(cluster: LiveCluster, victim: _Victim):
+        async def window() -> None:
+            await asyncio.sleep(fault.kill_after_s)
+            await victim.crash(cluster.hub, fault.downtime_s)
+            remaining = (config.duration_s - fault.kill_after_s
+                         - fault.downtime_s)
+            await asyncio.sleep(max(remaining, 1.0))
+        return window
 
-    await asyncio.sleep(fault.downtime_s)
-    restart_time = cluster.hub.now
-    victim = holder["proc"] = await _spawn_victim(command, log_path)
-
-    remaining = config.duration_s - fault.kill_after_s - fault.downtime_s
-    await asyncio.sleep(max(remaining, 1.0))
-    cluster.metrics.disarm(cluster.hub.now)
-    for driver in cluster.drivers:
-        driver.stop()
-    # Ops in flight at the kill instant died with their frames; a short
-    # settle collects everything else without waiting on the casualties.
-    await cluster._quiesce(timeout_s=3.0)
-    cluster.flush_persistence()
-
-    # Graceful stop *before* the report: the exit code is a gate (the
-    # WAL-before-transport shutdown ordering must have flushed cleanly).
-    victim.terminate()
-    try:
-        exit_code = await asyncio.wait_for(victim.wait(), TERM_TIMEOUT_S)
-    except asyncio.TimeoutError:
-        victim.kill()
-        await victim.wait()
-        exit_code = None
-
-    report = cluster._report(cluster.hub.clean)
-    await cluster.hub.close()
-    cluster.close_persistence()
-
-    acked, lost, recovered_count = _victim_write_check(cluster, fault,
-                                                       data_dir)
-    ops_after_restart = sum(
-        1 for event in cluster.checker.history.events
-        if event.time_s > restart_time
-    )
+    cluster, report, victim, exit_code = await _run_with_victim(
+        config, fault, host, base_port, make_window, supervise=supervise)
+    data_dir = Path(config.persistence.data_dir)
+    topology = cluster.topology
+    victim_address = topology.server(fault.dc, fault.partition)
+    acked, lost, recovered = audit_acked_writes(
+        topology, cluster.checker.history.writes(), data_dir)
     return CrashReport(
         live=report,
-        kill_time_s=kill_time,
-        restart_time_s=restart_time,
+        kill_time_s=victim.kill_time_s,
+        restart_time_s=victim.restart_time_s,
         server_exit_code=exit_code,
-        acked_victim_writes=acked,
-        lost_victim_writes=lost,
-        ops_after_restart=ops_after_restart,
-        recovered_versions=recovered_count,
+        acked_victim_writes=sum(
+            1 for event in acked
+            if event.version[1] == fault.dc
+            and topology.partition_of(event.key) == fault.partition),
+        lost_writes=lost,
+        ops_after_restart=_ops_after(cluster, victim.restart_time_s),
+        recovered_versions=recovered.get(victim_address, 0),
         victim_dir=str(data_dir / partition_dirname(victim_address)),
     )
 
@@ -340,10 +371,7 @@ def run_crash_experiment(
     tree must recover the same data directory — the same gate, one
     process layer deeper.
     """
-    if not config.verify:
-        raise ReproError("crash experiments require config.verify=True")
-    return asyncio.run(_run(config, fault, host, base_port,
-                            supervise=supervise))
+    return asyncio.run(_crash(config, fault, host, base_port, supervise))
 
 
 # ======================================================================
@@ -455,6 +483,38 @@ def _matrix_config(
     )
 
 
+def _verdict(
+    scenario: "ChaosScenario",
+    protocol: str,
+    backend: str,
+    verification: dict[str, int],
+    divergences: int,
+    total_ops: int,
+    extra_failures: list[str],
+    details: dict[str, Any],
+) -> ChaosVerdict:
+    """The universal cell gates (checker, convergence) plus the
+    scenario's own."""
+    failures = list(extra_failures)
+    violations = verification["violations"]
+    if violations:
+        failures.append(f"{violations} causal violations")
+    if divergences:
+        failures.append(f"{divergences} divergent keys after drain")
+    return ChaosVerdict(
+        scenario=scenario.name,
+        fault_class=scenario.fault_class,
+        protocol=protocol,
+        backend=backend,
+        violations=violations,
+        reads_checked=verification["reads_checked"],
+        divergences=divergences,
+        total_ops=total_ops,
+        failures=failures,
+        details=details,
+    )
+
+
 def _sim_verdict(
     scenario: "ChaosScenario",
     protocol: str,
@@ -463,27 +523,11 @@ def _sim_verdict(
     extra_failures: list[str],
     details: dict[str, Any],
 ) -> ChaosVerdict:
-    """The universal sim-cell gates plus the scenario's own."""
-    failures = list(extra_failures)
-    violations = result.verification["violations"]
-    if violations:
-        failures.append(f"{violations} causal violations")
-    if result.divergences:
-        failures.append(f"{result.divergences} divergent keys after drain")
     if built.faults.any_fault_active:
-        failures.append("faults still active at end of run")
-    return ChaosVerdict(
-        scenario=scenario.name,
-        fault_class=scenario.fault_class,
-        protocol=protocol,
-        backend="sim",
-        violations=violations,
-        reads_checked=result.verification["reads_checked"],
-        divergences=result.divergences,
-        total_ops=result.total_ops,
-        failures=failures,
-        details=details,
-    )
+        extra_failures = [*extra_failures, "faults still active at end of run"]
+    return _verdict(scenario, protocol, "sim", result.verification,
+                    result.divergences, result.total_ops, extra_failures,
+                    details)
 
 
 def _cell_asym_partition(scenario, protocol: str, seed: int,
@@ -614,63 +658,52 @@ def _cell_dc_failover(scenario, protocol: str, seed: int,
     return _sim_verdict(scenario, protocol, built, result, extra, details)
 
 
-async def _live_stalled_disk(
-    config: ExperimentConfig, stall_s: float, window_s: float
-) -> tuple[LiveReport, int, dict[str, Any]]:
+async def _stalled_disk(scenario, protocol: str, config: ExperimentConfig,
+                        stall_s: float, window_s: float) -> ChaosVerdict:
     """A live run whose WAL fsyncs stall mid-measurement.
 
-    The fault is installed on every hosted partition's WAL after the
-    warmup and removed ``window_s`` later; acknowledgements ride on
+    The fault is installed on every hosted partition's WAL 0.3 s into
+    the window and removed ``window_s`` later; acknowledgements ride on
     those fsyncs (group commit), so the stall back-pressures real
     client operations rather than a simulated proxy.
     """
     from repro.persistence.wal import DiskFault
 
     cluster = LiveCluster(config)
-    await cluster.start()
-    stagger = min(config.workload.think_time_s or 0.01, 0.02)
-    for driver in cluster.drivers:
-        driver.start(stagger_s=stagger)
-    await asyncio.sleep(config.warmup_s)
-    cluster.metrics.arm(cluster.hub.now)
-    for driver in cluster.drivers:
-        driver.reset_latency()
+    disk_faults: list[DiskFault] = []
 
-    await asyncio.sleep(0.3)
-    disk_faults = []
-    for durability in cluster.durability.values():
-        if durability.wal is not None:
-            fault = DiskFault(sync_delay_s=stall_s)
-            durability.wal.disk_fault = fault
-            disk_faults.append(fault)
-    await asyncio.sleep(window_s)
-    for durability in cluster.durability.values():
-        if durability.wal is not None:
-            durability.wal.disk_fault = None
-    await asyncio.sleep(max(config.duration_s - 0.3 - window_s, 0.5))
+    async def window() -> None:
+        await asyncio.sleep(0.3)
+        wals = [durability.wal for durability in cluster.durability.values()
+                if durability.wal is not None]
+        for wal in wals:
+            wal.disk_fault = DiskFault(sync_delay_s=stall_s)
+            disk_faults.append(wal.disk_fault)
+        await asyncio.sleep(window_s)
+        for wal in wals:
+            wal.disk_fault = None
+        await asyncio.sleep(max(config.duration_s - 0.3 - window_s, 0.5))
 
-    cluster.metrics.disarm(cluster.hub.now)
-    for driver in cluster.drivers:
-        driver.stop()
-    clean = await cluster._quiesce()
-    clean = cluster.flush_persistence() and clean
-    await cluster.hub.drain()
-    report = cluster._report(clean and cluster.hub.clean)
+    report = await cluster.run(window)
+    # The stores outlive the transport: compare them once it is down.
     divergences = len(check_convergence(
         cluster.servers,
         config.cluster.num_dcs,
         config.cluster.num_partitions,
     ))
-    await cluster.stop_telemetry()
-    await cluster.hub.close()
-    cluster.close_persistence()
     stalls = sum(fault.stalls for fault in disk_faults)
-    # report.faults carries the transport-side fault accounting directly
-    # (satellite of PR 9) — cells assert on it without parsing logs.
+    failures: list[str] = []
+    if report.total_ops == 0:
+        failures.append("no operations completed")
+    if not report.clean_shutdown:
+        failures.append("shutdown not clean (WAL flush failed?)")
+    if stalls == 0:
+        failures.append("disk fault never stalled an fsync")
     details: dict[str, Any] = {"disk_stalls": stalls}
     if report.faults:
         details["transport_faults"] = report.faults
-    return report, divergences, details
+    return _verdict(scenario, protocol, "live", report.verification,
+                    divergences, report.total_ops, failures, details)
 
 
 def _cell_stalled_disk(scenario, protocol: str, seed: int,
@@ -678,63 +711,30 @@ def _cell_stalled_disk(scenario, protocol: str, seed: int,
     """Live backend: every WAL's fsync stalls for a window while the
     cluster keeps serving; durability pressure must not break causality
     or convergence, and the shutdown flush must still succeed."""
-    stack = tempfile.TemporaryDirectory(prefix="chaos-disk-")
-    try:
-        base = Path(data_dir) if data_dir else Path(stack.name)
-        cell_dir = base / f"stalled-disk-{protocol}-{seed}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        cluster = smoke_scale_cluster(protocol)
-        config = ExperimentConfig(
-            cluster=cluster,
-            workload=WorkloadConfig(
-                kind="mixed",
-                read_ratio=0.7,
-                tx_ratio=0.15,
-                tx_partitions=2,
-                clients_per_partition=2,
-                think_time_s=0.005,
-            ),
-            warmup_s=MATRIX_WARMUP_S,
+    with _cell_dir(data_dir, f"stalled-disk-{protocol}-{seed}") as path:
+        config = replace(
+            _matrix_config(protocol, seed, scenario.name),
             duration_s=1.6,
-            seed=seed,
-            verify=True,
-            name=f"chaos-{scenario.name}",
             persistence=PersistenceConfig(
                 enabled=True,
-                data_dir=str(cell_dir),
+                data_dir=str(path),
                 fsync="interval",
                 fsync_interval_s=0.02,
                 snapshot_interval_s=0.0,
             ),
         )
-        report, divergences, details = asyncio.run(
-            _live_stalled_disk(config, stall_s=0.02, window_s=0.5)
-        )
-    finally:
-        stack.cleanup()
-    failures: list[str] = []
-    if report.violations:
-        failures.append(f"{len(report.violations)} causal violations")
-    if divergences:
-        failures.append(f"{divergences} divergent keys after drain")
-    if report.total_ops == 0:
-        failures.append("no operations completed")
-    if not report.clean_shutdown:
-        failures.append("shutdown not clean (WAL flush failed?)")
-    if details["disk_stalls"] == 0:
-        failures.append("disk fault never stalled an fsync")
-    return ChaosVerdict(
-        scenario=scenario.name,
-        fault_class=scenario.fault_class,
-        protocol=protocol,
-        backend="live",
-        violations=len(report.violations),
-        reads_checked=report.verification["reads_checked"],
-        divergences=divergences,
-        total_ops=report.total_ops,
-        failures=failures,
-        details=details,
-    )
+        return asyncio.run(_stalled_disk(scenario, protocol, config,
+                                         stall_s=0.02, window_s=0.5))
+
+
+@contextlib.contextmanager
+def _cell_dir(data_dir: str | None, name: str) -> Iterator[Path]:
+    """A live cell's data directory: under ``data_dir`` when given (and
+    kept), else under a temporary directory removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix="chaos-") as scratch:
+        path = Path(data_dir or scratch) / name
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
 
 
 # ======================================================================
@@ -751,18 +751,13 @@ def _cell_stalled_disk(scenario, protocol: str, seed: int,
 # victim recovers from its WAL and catches up.
 
 #: Victim ``(dc, partition)`` per scenario, against the shared shape
-#: below: 2 DCs x 4 partitions, ring (0, 1) -> (0, 1, 2).
-_RESHARD_VICTIMS: dict[str, tuple[int, int]] = {
-    "reshard-kill-donor": (0, 0),
-    "reshard-kill-joiner": (0, 2),
-    "reshard-kill-bystander": (0, 3),
-}
-#: Disjoint deterministic port ranges so consecutive cells never trip
+#: below (2 DCs x 4 partitions, ring (0, 1) -> (0, 1, 2)), and a
+#: disjoint deterministic base port so consecutive cells never trip
 #: over each other's TIME_WAIT sockets.
-_RESHARD_BASE_PORTS = {
-    "reshard-kill-donor": 7620,
-    "reshard-kill-joiner": 7660,
-    "reshard-kill-bystander": 7700,
+_RESHARD_CELLS: dict[str, tuple[int, int, int]] = {
+    "reshard-kill-donor": (0, 0, 7620),
+    "reshard-kill-joiner": (0, 2, 7660),
+    "reshard-kill-bystander": (0, 3, 7700),
 }
 _RESHARD_INITIAL = (0, 1)
 _RESHARD_TARGET = (0, 1, 2)
@@ -818,7 +813,7 @@ def _reshard_config(protocol: str, seed: int, name: str,
             enabled=True,
             data_dir=str(cell_dir),
             # Acked-means-durable is the gate; snapshots stay off so the
-            # WAL keeps pre-purge versions and the union check below can
+            # WAL keeps pre-purge versions and the acked-write audit can
             # see what a donor held before the cutover purge.
             fsync="always",
             snapshot_interval_s=0.0,
@@ -826,226 +821,77 @@ def _reshard_config(protocol: str, seed: int, name: str,
     )
 
 
-def _union_write_check(
-    cluster: LiveCluster, config: ExperimentConfig, data_dir: Path
-) -> tuple[int, list[str], int]:
-    """Acked-write durability across a reshard: per-DC *union* check.
-
-    A reshard legitimately moves a key's chains between partition
-    directories (and the donor purges its copy after commit), so the
-    single-directory check of :func:`_victim_write_check` would report
-    false losses.  The invariant that actually holds is per data
-    center: every write acked in DC *m* is present in — or dominated
-    within — the union of what *all* of DC *m*'s partition directories
-    recover.
-    """
-    from repro.persistence.manager import (
-        partition_dirname,
-        recover_directory,
-    )
-    num_dcs = config.cluster.num_dcs
-    best: dict[int, dict[Any, tuple[int, int]]] = {}
-    recovered_total = 0
-    for dc in range(num_dcs):
-        by_key = best.setdefault(dc, {})
-        for partition in range(config.cluster.num_partitions):
-            directory = data_dir / partition_dirname(
-                cluster.topology.server(dc, partition))
-            if not directory.exists():
-                continue
-            recovered = recover_directory(directory, truncate=False,
-                                          delete_covered=False)
-            recovered_total += len(recovered.versions)
-            for version in recovered.versions:
-                order = version.order_key
-                current = by_key.get(version.key)
-                if current is None or order > current:
-                    by_key[version.key] = order
-
-    acked = 0
-    lost: list[str] = []
-    for event in cluster.checker.history.writes():
-        key, sr, ut = event.version
-        acked += 1
-        best_order = best.get(sr, {}).get(key)
-        if best_order is None or best_order < version_order_key(ut, sr):
-            lost.append(
-                f"acked write {event.version} at t={event.time_s:.3f}s "
-                f"not in DC {sr}'s recovered union (best: {best_order})"
-            )
-    return acked, lost, recovered_total
-
-
-async def _run_reshard(
-    config: ExperimentConfig, fault: CrashFault, host: str, base_port: int
-) -> dict[str, Any]:
+async def _reshard_kill(scenario, protocol: str,
+                        config: ExperimentConfig) -> ChaosVerdict:
     from repro.cluster.reshard import attach_live_controller
     from repro.cluster.ring import ClusterView
 
-    data_dir = Path(config.persistence.data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    config_path = data_dir / "cluster.json"
-    save_experiment_config(config, str(config_path))
-
-    topology = Topology(config.cluster.num_dcs,
-                        config.cluster.num_partitions)
-    victim_address = topology.server(fault.dc, fault.partition)
-    cluster = LiveCluster(
-        config, host=host, base_port=base_port,
-        serve_addresses=[address for address in topology.all_servers()
-                         if address != victim_address],
-        with_clients=True,
-    )
-    membership = config.cluster.membership
-    target = ClusterView(epoch=1, members=_RESHARD_TARGET,
-                         vnodes=membership.vnodes)
+    fault_dc, fault_partition, base_port = _RESHARD_CELLS[scenario.name]
+    fault = CrashFault(dc=fault_dc, partition=fault_partition,
+                       kill_after_s=0.12, downtime_s=1.0)
     done = asyncio.Event()
-    reshard_result: dict[str, Any] = {}
+    outcome: dict[str, Any] = {"result": None}
 
-    def _on_done(result) -> None:
-        reshard_result["result"] = result
-        done.set()
+    def make_window(cluster: LiveCluster, victim: _Victim):
+        membership = config.cluster.membership
 
-    # Before cluster.start(): the controller endpoint's listener must
-    # bind alongside the servers' so their acks can dial back.
-    controller = attach_live_controller(
-        cluster.hub, cluster.topology, target,
-        commit_delay_s=membership.commit_delay_s,
-        retry_interval_s=membership.retry_interval_s,
-        on_done=_on_done,
-    )
+        def on_done(result) -> None:
+            outcome["result"] = result
+            done.set()
 
-    command = _serve_command(config_path, fault, host, base_port)
-    log_path = data_dir / "victim.log"
-    holder = {"proc": await _spawn_victim(command, log_path)}
-    try:
-        return await _drive_reshard(cluster, holder, config, fault,
-                                    command, log_path, data_dir,
-                                    controller, done, reshard_result)
-    finally:
-        victim = holder["proc"]
-        if victim.returncode is None:
-            victim.kill()
-            await victim.wait()
+        # Before the cluster starts: the controller endpoint's listener
+        # must bind alongside the servers' so their acks can dial back.
+        controller = attach_live_controller(
+            cluster.hub, cluster.topology,
+            ClusterView(epoch=1, members=_RESHARD_TARGET,
+                        vnodes=membership.vnodes),
+            commit_delay_s=membership.commit_delay_s,
+            retry_interval_s=membership.retry_interval_s,
+            on_done=on_done,
+        )
 
+        async def window() -> None:
+            # Let traffic build chains on the old ring, then start the
+            # view change and kill the victim inside its
+            # seal/stream/drain window.
+            await asyncio.sleep(0.6)
+            controller.start()
+            await asyncio.sleep(fault.kill_after_s)
+            outcome["kill_phase"] = controller.phase
+            await victim.crash(cluster.hub, fault.downtime_s)
+            try:
+                await asyncio.wait_for(done.wait(),
+                                       _RESHARD_COMMIT_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                pass  # gated below: "view change never committed"
+            # Run on against the committed ring: redirected retries,
+            # parked ops answered, and fresh traffic for the rejoin gate.
+            await asyncio.sleep(0.6)
+        return window
 
-async def _drive_reshard(
-    cluster: LiveCluster, holder: dict, config: ExperimentConfig,
-    fault: CrashFault, command: list[str], log_path: Path,
-    data_dir: Path, controller, done: asyncio.Event,
-    reshard_result: dict[str, Any],
-) -> dict[str, Any]:
-    victim = holder["proc"]
-    await cluster.start()
-    stagger = min(config.workload.think_time_s or 0.01, 0.02)
-    for driver in cluster.drivers:
-        driver.start(stagger_s=stagger)
-    await asyncio.sleep(config.warmup_s)
-    cluster.metrics.arm(cluster.hub.now)
-
-    # Let traffic build chains on the old ring, then start the view
-    # change and kill the victim inside its seal/stream/drain window.
-    await asyncio.sleep(0.6)
-    controller.start()
-    await asyncio.sleep(fault.kill_after_s)
-    kill_time = cluster.hub.now
-    kill_phase = controller.phase
-    victim.kill()  # SIGKILL: no flush, no goodbye
-    await victim.wait()
-
-    await asyncio.sleep(fault.downtime_s)
-    restart_time = cluster.hub.now
-    victim = holder["proc"] = await _spawn_victim(command, log_path)
-
-    try:
-        await asyncio.wait_for(done.wait(), _RESHARD_COMMIT_TIMEOUT_S)
-    except asyncio.TimeoutError:
-        pass  # gated below: "view change never committed"
-    # Run on against the committed ring: redirected retries, parked ops
-    # answered, and fresh traffic for the rejoin gate.
-    await asyncio.sleep(0.6)
-    cluster.metrics.disarm(cluster.hub.now)
-    for driver in cluster.drivers:
-        driver.stop()
-    await cluster._quiesce(timeout_s=3.0)
-    cluster.flush_persistence()
-
-    victim.terminate()
-    try:
-        exit_code = await asyncio.wait_for(victim.wait(), TERM_TIMEOUT_S)
-    except asyncio.TimeoutError:
-        victim.kill()
-        await victim.wait()
-        exit_code = None
-
-    report = cluster._report(cluster.hub.clean)
-    await cluster.hub.close()
-    cluster.close_persistence()
-
-    acked, lost, recovered_count = _union_write_check(cluster, config,
-                                                      data_dir)
-    ops_after_restart = sum(
-        1 for event in cluster.checker.history.events
-        if event.time_s > restart_time
-    )
+    cluster, report, victim, exit_code = await _run_with_victim(
+        config, fault, "127.0.0.1", base_port, make_window)
+    acked, lost, recovered = audit_acked_writes(
+        cluster.topology, cluster.checker.history.writes(),
+        Path(config.persistence.data_dir))
+    ops_after_restart = _ops_after(cluster, victim.restart_time_s)
     servers = cluster.servers.values()
-    return {
-        "report": report,
-        "result": reshard_result.get("result"),
-        "exit_code": exit_code,
-        "acked_writes": acked,
-        "lost_writes": lost,
-        "recovered_versions": recovered_count,
-        "ops_after_restart": ops_after_restart,
-        "kill_time": kill_time,
-        "kill_phase": kill_phase,
-        "restart_time": restart_time,
-        "redirects": sum(s.not_owner_redirects for s in servers),
-        "epochs": sorted({s.view_epoch for s in servers}),
-    }
-
-
-def _cell_reshard(scenario, protocol: str, seed: int,
-                  data_dir: str | None) -> ChaosVerdict:
-    """SIGKILL one view-change participant mid-reshard; the retried
-    handoff must still commit with zero violations and zero acked-write
-    loss, moving roughly K/S of the keyspace to the joiner."""
-    fault_dc, fault_partition = _RESHARD_VICTIMS[scenario.name]
-    stack = tempfile.TemporaryDirectory(prefix="chaos-reshard-")
-    try:
-        base = Path(data_dir) if data_dir else Path(stack.name)
-        cell_dir = base / f"{scenario.name}-{protocol}-{seed}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        config = _reshard_config(protocol, seed, scenario.name, cell_dir)
-        fault = CrashFault(dc=fault_dc, partition=fault_partition,
-                           kill_after_s=0.12, downtime_s=1.0)
-        outcome = asyncio.run(_run_reshard(
-            config, fault, host="127.0.0.1",
-            base_port=_RESHARD_BASE_PORTS[scenario.name],
-        ))
-    finally:
-        stack.cleanup()
-
-    report: LiveReport = outcome["report"]
+    epochs = sorted({server.view_epoch for server in servers})
     result = outcome["result"]
+
     failures: list[str] = []
-    if report.violations:
-        failures.append(f"{len(report.violations)} causal violations")
     if result is None:
         failures.append(
             f"view change never committed (killed during "
             f"'{outcome['kill_phase']}' phase)"
         )
-    if outcome["lost_writes"]:
-        failures.append(
-            f"{len(outcome['lost_writes'])} acked writes lost: "
-            + "; ".join(outcome["lost_writes"][:3])
-        )
-    if outcome["ops_after_restart"] == 0:
+    if lost:
+        failures.append(f"{len(lost)} acked writes lost: "
+                        + "; ".join(lost[:3]))
+    if ops_after_restart == 0:
         failures.append("no operations completed after the restart")
-    if outcome["exit_code"] != 0:
-        failures.append(
-            f"victim's graceful stop exited {outcome['exit_code']}")
+    if exit_code != 0:
+        failures.append(f"victim's graceful stop exited {exit_code}")
     cluster_cfg = config.cluster
     total_keys = cluster_cfg.keys_per_partition * cluster_cfg.num_partitions
     # The K/S bound: adding one member to an S-member ring moves ~K/S
@@ -1059,32 +905,34 @@ def _cell_reshard(scenario, protocol: str, seed: int,
             f"[{0.2 * expected:.0f}, {3.0 * expected:.0f}] "
             f"(~K/S = {expected:.0f})"
         )
-    if result is not None and outcome["epochs"] != [1]:
+    if result is not None and epochs != [1]:
         failures.append(
-            f"servers left behind after commit: epochs {outcome['epochs']}")
+            f"servers left behind after commit: epochs {epochs}")
 
     details: dict[str, Any] = {
         "kill_phase": outcome["kill_phase"],
         "keys_moved": result.keys_moved if result else 0,
         "bytes_moved": result.bytes_moved if result else 0,
         "driver_retries": result.retries if result else 0,
-        "redirects": outcome["redirects"],
-        "acked_writes": outcome["acked_writes"],
-        "recovered_versions": outcome["recovered_versions"],
-        "ops_after_restart": outcome["ops_after_restart"],
+        "redirects": sum(server.not_owner_redirects for server in servers),
+        "acked_writes": len(acked),
+        "recovered_versions": sum(recovered.values()),
+        "ops_after_restart": ops_after_restart,
     }
-    return ChaosVerdict(
-        scenario=scenario.name,
-        fault_class=scenario.fault_class,
-        protocol=protocol,
-        backend="live",
-        violations=len(report.violations),
-        reads_checked=report.verification["reads_checked"],
-        divergences=0,  # not comparable mid-topology-change; see gates
-        total_ops=report.total_ops,
-        failures=failures,
-        details=details,
-    )
+    # Divergence is not comparable mid-topology-change; the epoch and
+    # audit gates above stand in for it.
+    return _verdict(scenario, protocol, "live", report.verification, 0,
+                    report.total_ops, failures, details)
+
+
+def _cell_reshard(scenario, protocol: str, seed: int,
+                  data_dir: str | None) -> ChaosVerdict:
+    """SIGKILL one view-change participant mid-reshard; the retried
+    handoff must still commit with zero violations and zero acked-write
+    loss, moving roughly K/S of the keyspace to the joiner."""
+    with _cell_dir(data_dir, f"{scenario.name}-{protocol}-{seed}") as path:
+        config = _reshard_config(protocol, seed, scenario.name, path)
+        return asyncio.run(_reshard_kill(scenario, protocol, config))
 
 
 @dataclass(frozen=True)

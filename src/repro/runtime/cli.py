@@ -67,14 +67,13 @@ def add_deployment_args(parser: argparse.ArgumentParser) -> None:
                              "0 = ephemeral ports (single-process only; "
                              "default: 7400)")
     parser.add_argument("--repl-batch", type=int, metavar="N",
-                        help="enable protocol-level replication batching: "
-                             "up to N versions per inter-DC ReplicateBatch "
-                             "(see docs/protocols.md; N=1 is wire-"
-                             "equivalent to batching off)")
+                        help="protocol-level replication batching: up to "
+                             "N versions per inter-DC ReplicateBatch "
+                             "(see docs/protocols.md; N=1 is batching "
+                             "off)")
     parser.add_argument("--repl-flush-ms", type=float, metavar="MS",
                         help="replication batch flush deadline in ms "
-                             "(default: 5.0; enables batching when given "
-                             "without --repl-batch)")
+                             "(default: 5.0; requires --repl-batch)")
     parser.add_argument("--data-dir", metavar="PATH",
                         help="enable durability: per-partition WAL + "
                              "snapshots under PATH, crash recovery on "
@@ -132,10 +131,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cluster_overrides["num_partitions"] = args.partitions
     if args.keys is not None:
         cluster_overrides["keys_per_partition"] = args.keys
-    if args.repl_batch is not None or args.repl_flush_ms is not None:
-        repl_overrides: dict = {"enabled": True}
-        if args.repl_batch is not None:
-            repl_overrides["max_versions"] = args.repl_batch
+    if args.repl_flush_ms is not None and args.repl_batch is None:
+        raise SystemExit("--repl-flush-ms requires --repl-batch N "
+                         "(the batch size that turns batching on)")
+    if args.repl_batch is not None:
+        repl_overrides: dict = {"max_versions": args.repl_batch}
         if args.repl_flush_ms is not None:
             repl_overrides["flush_ms"] = args.repl_flush_ms
         cluster_overrides["repl_batch"] = dataclasses.replace(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Awaitable, Callable, Sequence
 
 from repro.common.config import ExperimentConfig
 from repro.common.errors import ReproError
@@ -594,8 +594,25 @@ class LiveCluster:
                     f"WAL close failed for {address}: {exc!r}"
                 )
 
-    async def run(self) -> LiveReport:
-        """The measured lifecycle: warmup → measure → quiesce → report."""
+    async def run(
+        self, window: Callable[[], Awaitable[None]] | None = None
+    ) -> LiveReport:
+        """The measured lifecycle: :meth:`run_window`, then
+        :meth:`shutdown`."""
+        return await self.shutdown(await self.run_window(window))
+
+    async def run_window(
+        self,
+        window: Callable[[], Awaitable[None]] | None = None,
+        settle_timeout_s: float = SETTLE_TIMEOUT_S,
+    ) -> bool:
+        """Boot, warm up, measure, quiesce; True iff quiesce was clean.
+
+        ``window`` replaces the plain ``sleep(duration_s)`` of the
+        measurement window: chaos runs kill, stall or reshard inside it,
+        observers scrape inside it.  ``settle_timeout_s`` bounds how long
+        quiescing waits for in-flight operations afterwards.
+        """
         await self.start()
         if not self.drivers:
             raise ReproError("this LiveCluster hosts no drivers to run")
@@ -609,11 +626,25 @@ class LiveCluster:
         # the window keep recording — they are the window's own tail).
         for driver in self.drivers:
             driver.reset_latency()
-        await asyncio.sleep(self.config.duration_s)
+        if window is None:
+            await asyncio.sleep(self.config.duration_s)
+        else:
+            await window()
         self.metrics.disarm(self.hub.now)
         for driver in self.drivers:
             driver.stop()
-        clean = await self._quiesce()
+        return await self._quiesce(settle_timeout_s)
+
+    async def shutdown(self, clean: bool = True) -> LiveReport:
+        """Flush, report and tear down; the report's ``clean_shutdown``
+        also requires ``clean`` (the window's quiesce verdict) and an
+        error-free teardown.  When endpoints live in other processes,
+        peers stopping alongside this one are expected from here on (see
+        :attr:`LiveHub.stopping`).
+        """
+        hosts_everything = (self._serve_addresses is None
+                            and self._with_clients)
+        self.hub.stopping = not hosts_everything
         clean = self.flush_persistence() and clean
         # A final flush can release acknowledgements held behind the last
         # group-commit sync; drain once more so they reach the wire.
@@ -621,7 +652,11 @@ class LiveCluster:
         report = self._report(clean and self.hub.clean)
         await self.stop_telemetry()
         await self.hub.close()
+        # Closing the WAL is its final sync, covering records persisted
+        # during the drain: a failure there must fail the shutdown.
         self.close_persistence()
+        report.clean_shutdown = report.clean_shutdown and self.hub.clean
+        report.errors = list(self.hub.errors)
         return report
 
     async def _quiesce(self, timeout_s: float = SETTLE_TIMEOUT_S) -> bool:

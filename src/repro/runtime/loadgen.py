@@ -222,12 +222,10 @@ async def _run_sharded(config: ExperimentConfig, host: str, base_port: int,
             results = list(await asyncio.gather(*futures))
     finally:
         if servers is not None:
-            clean_servers = servers.flush_persistence()
-            await servers.stop_telemetry()
-            await servers.hub.close()
-            servers.close_persistence()
-            clean_servers = clean_servers and servers.hub.clean
-            server_errors = [f"server host: {e}" for e in servers.hub.errors]
+            server_report = await servers.shutdown()
+            clean_servers = server_report.clean_shutdown
+            server_errors = [f"server host: {e}"
+                             for e in server_report.errors]
     merged = merge_worker_reports(results, extra_errors=server_errors,
                                   clean_servers=clean_servers)
     return ShardedRunResult(

@@ -93,16 +93,9 @@ async def _serve(cluster: LiveCluster, duration: float | None) -> int:
     if duration is not None:
         loop.call_later(duration, stop.set)
     await stop.wait()
-    # Shutdown ordering matters: force the WAL onto stable storage while
-    # the handlers that might still append to it can no longer run past
-    # us (we are on their event loop), *then* take the transport down.
-    # An acknowledged write must never outlive its log.
-    flushed = cluster.flush_persistence()
-    await cluster.stop_telemetry()
-    await cluster.hub.close()
-    cluster.close_persistence()
-    if not cluster.hub.clean or not flushed:
-        for error in cluster.hub.errors:
+    report = await cluster.shutdown()
+    if not report.clean_shutdown:
+        for error in report.errors:
             print(f"error: {error}", file=sys.stderr)
         return 1
     print("clean shutdown", file=sys.stderr)

@@ -330,6 +330,11 @@ class LiveHub:
         #: Fatal transport problems (connect exhaustion, writer crashes);
         #: a clean shutdown requires this to stay empty.
         self.errors: list[str] = []
+        #: Set when this process begins its graceful stop.  From then on
+        #: a peer that is unreachable or drops the connection is stopping
+        #: too: the frames lost with it are counted dropped, exactly as
+        #: close() drops whatever is still queued, not recorded as errors.
+        self.stopping = False
         self._loop: asyncio.AbstractEventLoop | None = None
         # Anchor the epoch once against the wall clock, then advance on
         # the monotonic clock: cross-process alignment comes from the
@@ -339,6 +344,8 @@ class LiveHub:
                              - time.monotonic())
         #: dst -> (frame queue, sender task) of the per-destination channel.
         self._channels: dict[Address, tuple[asyncio.Queue, asyncio.Task]] = {}
+        #: Destinations whose current sender holds an open connection.
+        self._connected: set[Address] = set()
         #: Destinations retired for good (peer resharded out and shut
         #: down): frames to them are silently discarded instead of
         #: burning a connect-retry budget — and recording a transport
@@ -491,11 +498,13 @@ class LiveHub:
                 )
                 delay = policy.next_delay(delay)
             if writer is None:
-                self.errors.append(
-                    f"could not connect to {dst} at {host}:{port}"
-                )
+                if not self.stopping:
+                    self.errors.append(
+                        f"could not connect to {dst} at {host}:{port}"
+                    )
                 return
             apply_socket_tuning(writer, self.tuning)
+            self._connected.add(dst)
             stats = self.stats
             while True:
                 if carry is not None:
@@ -556,13 +565,15 @@ class LiveHub:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # connection died mid-run
-            self.errors.append(f"sender to {dst} failed: {exc!r}")
+            if not self.stopping:
+                self.errors.append(f"sender to {dst} failed: {exc!r}")
         finally:
             # Whatever is still queued will never be written by *this*
             # sender: count it dropped and release drain()'s join().  A
             # later post to the same destination dials a fresh channel.
             # A carried frame was already popped, so drain()'s join() is
             # waiting on its task_done too.
+            self._connected.discard(dst)
             if carry is not None:
                 queue.task_done()
                 self.stats.messages_dropped += 1
@@ -582,12 +593,17 @@ class LiveHub:
         ``queue.join()`` covers the frame a sender has popped but not yet
         flushed, so close() cannot cancel a write mid-frame after a clean
         drain.  Bounded, and skips channels whose sender died (their
-        failure is already in :attr:`errors`) — a dead sender's queue can
+        failure is already accounted for) — a dead sender's queue can
         never finish, and periodic timers may even keep refilling it.
+        Once :attr:`stopping`, skips channels still dialing too: they
+        have put nothing on the wire, and a peer that is not listening
+        (shutting down alongside this process) would only burn the
+        connect budget into a spurious error.  Mid-run, a dialing channel
+        (a restarted peer, a fresh fan-out) is waited for like any other.
         """
         deadline = self.loop.time() + timeout_s
         for dst, (queue, task) in list(self._channels.items()):
-            if task.done():
+            if task.done() or (self.stopping and dst not in self._connected):
                 continue
             remaining = deadline - self.loop.time()
             if remaining <= 0:

@@ -4,8 +4,7 @@ This package replaces the paper's AWS testbed (see DESIGN.md): a
 deterministic event-heap scheduler (:mod:`repro.sim.engine`), lossless FIFO
 point-to-point channels with a geo latency model (:mod:`repro.sim.network`,
 :mod:`repro.sim.latency`), fault injection for network partitions
-(:mod:`repro.sim.faults`), seeded RNG streams (:mod:`repro.sim.rng`) and an
-optional generator-based process layer (:mod:`repro.sim.process`).
+(:mod:`repro.sim.faults`) and seeded RNG streams (:mod:`repro.sim.rng`).
 """
 
 from repro.sim.engine import EventHandle, Simulator
@@ -17,23 +16,18 @@ from repro.sim.latency import (
     UniformLatency,
 )
 from repro.sim.network import Endpoint, Network, NetworkStats
-from repro.sim.process import Environment, Gate, Process, Timeout
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "ConstantLatency",
     "Endpoint",
-    "Environment",
     "EventHandle",
     "FaultInjector",
-    "Gate",
     "GeoLatencyModel",
     "LatencyModel",
     "Network",
     "NetworkStats",
-    "Process",
     "RngRegistry",
     "Simulator",
-    "Timeout",
     "UniformLatency",
 ]

@@ -109,7 +109,7 @@ def test_chaos_knobs_off_is_byte_identical():
         cluster=replace(
             base.cluster,
             anti_entropy=AntiEntropyConfig(enabled=False),
-            repl_batch=ReplicationBatchConfig(enabled=False),
+            repl_batch=ReplicationBatchConfig(max_versions=1),
         ),
     )
     first = run_experiment(base)
@@ -126,7 +126,7 @@ def test_partition_during_replicate_batch_flush():
     violations, no divergence)."""
     cluster = replace(
         smoke_scale_cluster("pocc"),
-        repl_batch=ReplicationBatchConfig(enabled=True, flush_ms=10.0),
+        repl_batch=ReplicationBatchConfig(max_versions=64, flush_ms=10.0),
     )
     config = ExperimentConfig(
         cluster=cluster,

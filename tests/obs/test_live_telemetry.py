@@ -80,29 +80,19 @@ async def _http_get(port: int, path: str) -> str:
 
 
 async def _run_and_scrape(cluster: LiveCluster):
-    """The LiveCluster.run() lifecycle with two mid-run scrapes."""
-    await cluster.start()
-    assert cluster.metrics_port, "telemetry enabled but no endpoint"
-    for driver in cluster.drivers:
-        driver.start(stagger_s=0.01)
-    await asyncio.sleep(cluster.config.warmup_s)
-    cluster.metrics.arm(cluster.hub.now)
-    first = await _http_get(cluster.metrics_port, "/metrics")
-    await asyncio.sleep(cluster.config.duration_s)
-    second = await _http_get(cluster.metrics_port, "/metrics")
-    vars_doc = json.loads(
-        await _http_get(cluster.metrics_port, "/vars.json"))
-    cluster.metrics.disarm(cluster.hub.now)
-    for driver in cluster.drivers:
-        driver.stop()
-    await cluster._quiesce()
-    clean = cluster.flush_persistence()
-    await cluster.hub.drain()
-    report = cluster._report(clean and cluster.hub.clean)
-    await cluster.stop_telemetry()
-    await cluster.hub.close()
-    cluster.close_persistence()
-    return first, second, vars_doc, report
+    """One LiveCluster.run() with two scrapes inside its window."""
+    scrapes = []
+
+    async def window() -> None:
+        assert cluster.metrics_port, "telemetry enabled but no endpoint"
+        scrapes.append(await _http_get(cluster.metrics_port, "/metrics"))
+        await asyncio.sleep(cluster.config.duration_s)
+        scrapes.append(await _http_get(cluster.metrics_port, "/metrics"))
+        scrapes.append(json.loads(
+            await _http_get(cluster.metrics_port, "/vars.json")))
+
+    report = await cluster.run(window)
+    return (*scrapes, report)
 
 
 def _ops_total(text: str) -> float:

@@ -2,10 +2,11 @@
 
 Three layers of defense around the new first-class policy:
 
-* **Equivalence** — ``max_versions=1`` must reproduce the batching-off
-  engine *byte-for-byte* (every flush carries one version and the ship
-  path degenerates to the plain per-write ``Replicate``), which also
-  proves the default-off configuration cannot perturb existing reports.
+* **Equivalence** — ``max_versions=1`` (the default) *is* batching off:
+  no batcher is built, every write takes the plain per-write
+  ``Replicate`` fan-out, and the report is byte-identical to a config
+  without a ``repl_batch`` block, so the default cannot perturb existing
+  reports.
 * **Safety** — batched runs across every causal protocol pass the
   independent causal checker and the convergence audit, including under
   randomized partition/heal schedules (held batches flush in FIFO order
@@ -41,7 +42,7 @@ from repro.protocols.registry import PROTOCOLS
 
 CAUSAL_PROTOCOLS = tuple(name for name in PROTOCOLS if name != "eventual")
 
-BATCHED = ReplicationBatchConfig(enabled=True, max_versions=8,
+BATCHED = ReplicationBatchConfig(max_versions=8,
                                  max_bytes=65536, flush_ms=5.0)
 
 
@@ -81,17 +82,20 @@ def _report_bytes(result) -> str:
 
 
 # ----------------------------------------------------------------------
-# Equivalence: max_versions=1 == batching disabled, bit for bit
+# Off: max_versions=1 is no batching at all, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_batch_of_one_is_byte_identical_to_disabled(protocol):
-    """The degenerate batch ships the plain per-write Replicate, so the
-    whole event history — and therefore the report — is unchanged."""
+    """A batch of one *is* batching off, whatever the other knobs say:
+    no batcher is built, every write takes the plain per-write
+    Replicate fan-out, and the report is byte-identical to the
+    default's."""
+    one = ReplicationBatchConfig(max_versions=1, max_bytes=1, flush_ms=1.0)
+    built = build_cluster(_config(protocol, repl_batch=one))
+    for server in built.servers.values():
+        assert server._batcher is None
     baseline = run_experiment(_config(protocol, repl_batch=None))
-    degenerate = run_experiment(_config(
-        protocol,
-        repl_batch=ReplicationBatchConfig(enabled=True, max_versions=1),
-    ))
+    degenerate = run_experiment(built.config, built=built)
     assert _report_bytes(baseline) == _report_bytes(degenerate)
 
 
@@ -171,7 +175,7 @@ def _write_heavy(protocol: str, repl_batch, seed: int = 17):
 
 
 def test_batching_collapses_inter_dc_replicate_messages():
-    batch = ReplicationBatchConfig(enabled=True, max_versions=64,
+    batch = ReplicationBatchConfig(max_versions=64,
                                    max_bytes=1 << 20, flush_ms=20.0)
     built_off, result_off = _write_heavy("pocc", None)
     built_on, result_on = _write_heavy("pocc", batch)
@@ -197,7 +201,7 @@ def test_batching_collapses_inter_dc_replicate_messages():
 def test_batching_suppresses_idle_heartbeats_while_traffic_flows():
     """Each flush stamps the clock into VV[m], so the write-idle check
     keeps the explicit heartbeat silent while batches flow."""
-    batch = ReplicationBatchConfig(enabled=True, max_versions=64,
+    batch = ReplicationBatchConfig(max_versions=64,
                                    max_bytes=1 << 20, flush_ms=20.0)
     built_off, _ = _write_heavy("pocc", None)
     built_on, _ = _write_heavy("pocc", batch)
@@ -209,7 +213,7 @@ def test_batching_suppresses_idle_heartbeats_while_traffic_flows():
 def test_okapi_piggybacks_dst_on_batches():
     """Aggregator batches carry the DST, so explicit UstGossip traffic
     drops while the UST keeps advancing (visibility samples drain)."""
-    batch = ReplicationBatchConfig(enabled=True, max_versions=64,
+    batch = ReplicationBatchConfig(max_versions=64,
                                    max_bytes=1 << 20, flush_ms=10.0)
     built_off, result_off = _write_heavy("okapi", None)
     built_on, result_on = _write_heavy("okapi", batch)
@@ -262,7 +266,7 @@ def _batcher(max_versions=4, max_bytes=1 << 20, flush_ms=5.0):
     rt = _FakeRuntime()
     batcher = ReplicationBatcher(
         rt,
-        ReplicationBatchConfig(enabled=True, max_versions=max_versions,
+        ReplicationBatchConfig(max_versions=max_versions,
                                max_bytes=max_bytes, flush_ms=flush_ms),
         shipped.append,
     )
@@ -329,7 +333,7 @@ def _batched_cluster(protocol="pocc", max_versions=64, flush_ms=5.0):
         protocol=protocol, verify=True,
         cluster_overrides={
             "repl_batch": ReplicationBatchConfig(
-                enabled=True, max_versions=max_versions,
+                max_versions=max_versions,
                 max_bytes=1 << 20, flush_ms=flush_ms,
             ),
         },
@@ -355,12 +359,30 @@ def test_batch_flush_advances_remote_vv_to_the_flush_clock():
         assert replica.vv[0] >= newest
 
 
+def test_lone_deadline_flush_ships_a_stamped_batch():
+    """With batching on, a single buffered write flushed by its deadline
+    still travels as a ReplicateBatch carrying the flush clock — never
+    as a plain Replicate."""
+    built = _batched_cluster()
+    client = helpers.client_at(built, dc=0)
+    key = helpers.key_on_partition(built, 0, rank=0)
+    version = helpers.put(built, client, key, ("c", 1))
+    helpers.settle(built, 0.5)
+    by_type = built.network.stats.inter_dc_by_type
+    assert by_type.get("Replicate", 0) == 0
+    assert by_type.get("ReplicateBatch", 0) >= 1
+    for dc in range(1, built.topology.num_dcs):
+        replica = built.servers[built.topology.server(dc, 0)]
+        assert key in {v.key for v in replica.store.all_versions()}
+        assert replica.vv[0] >= version.ut
+
+
 def test_concurrent_puts_ride_one_batch():
     built = helpers.make_cluster(
         protocol="pocc", clients_per_partition=2, verify=True,
         cluster_overrides={
             "repl_batch": ReplicationBatchConfig(
-                enabled=True, max_versions=64, max_bytes=1 << 20,
+                max_versions=64, max_bytes=1 << 20,
                 flush_ms=5.0,
             ),
         },

@@ -104,19 +104,23 @@ def test_repl_batch_cli_flags_enable_protocol_batching():
     )
     config = config_from_args(args)
     batch = config.cluster.repl_batch
-    assert batch.enabled
     assert batch.max_versions == 32
     assert batch.flush_ms == 2.5
 
-    # Either flag alone turns batching on; the other keeps its default.
-    args = build_parser().parse_args(["--repl-flush-ms", "10"])
+    # --repl-batch alone keeps the default flush deadline.
+    args = build_parser().parse_args(["--repl-batch", "64"])
     batch = config_from_args(args).cluster.repl_batch
-    assert batch.enabled and batch.max_versions == 64
-    assert batch.flush_ms == 10.0
+    assert batch.max_versions == 64 and batch.flush_ms == 5.0
+
+    # A flush deadline without a batch size is a usage error, not a
+    # silent batch-64.
+    args = build_parser().parse_args(["--repl-flush-ms", "10"])
+    with pytest.raises(SystemExit, match="--repl-batch"):
+        config_from_args(args)
 
     # And without the flags it stays off (the sim-report-identical path).
     args = build_parser().parse_args([])
-    assert not config_from_args(args).cluster.repl_batch.enabled
+    assert config_from_args(args).cluster.repl_batch.max_versions == 1
 
 
 def test_transport_block_round_trips(tmp_path):

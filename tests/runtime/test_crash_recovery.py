@@ -12,6 +12,8 @@ Two layers:
   ``crash-smoke`` gate).
 """
 
+import asyncio
+
 import pytest
 
 from repro.common.config import (
@@ -120,6 +122,31 @@ def test_flush_failure_is_reported_not_swallowed(tmp_path):
     assert any("WAL flush failed" in error for error in cluster.hub.errors)
 
 
+def test_wal_close_failure_fails_the_shutdown(tmp_path):
+    """Closing the WAL is its final sync (it covers records persisted
+    during the post-flush drain), so a failing close must fail the
+    shutdown report that serve and the loadgen server host exit on."""
+    from repro.runtime.cluster import LiveCluster
+
+    config = _config(tmp_path, duration_s=0.4, snapshot_interval_s=0)
+    cluster = LiveCluster(config)
+
+    class FailsOnClose:
+        wal = None
+        snapshots_written = 0
+
+        def flush(self):
+            pass
+
+        def close(self):
+            raise OSError("final sync failed")
+
+    cluster.durability = {server_address(0, 0): FailsOnClose()}
+    report = asyncio.run(cluster.shutdown())
+    assert report.clean_shutdown is False
+    assert any("WAL close failed" in error for error in report.errors)
+
+
 def test_group_commit_live_run_recovers_every_acked_write(tmp_path):
     """Group-commit end to end on the live path: an open-loop run under
     ``fsync: always`` batches same-tick appends into shared syncs (the
@@ -179,7 +206,7 @@ def test_sigkill_restart_loses_nothing_and_stays_causal(tmp_path):
         base_port=7643,
     )
     assert report.live.violations == [], report.summary_text()
-    assert report.lost_victim_writes == [], report.summary_text()
+    assert report.lost_writes == [], report.summary_text()
     assert report.acked_victim_writes > 0, report.summary_text()
     assert report.ops_after_restart > 0, report.summary_text()
     assert report.server_exit_code == 0, report.summary_text()
@@ -206,3 +233,68 @@ def test_crash_experiment_rejects_misconfiguration(tmp_path):
     )
     with pytest.raises(ReproError):
         run_crash_experiment(no_persistence, CrashFault(), base_port=7700)
+
+
+# ----------------------------------------------------------------------
+# The acked-write audit's failure side, on synthetic data dirs
+# ----------------------------------------------------------------------
+def _disk(tmp_path, dc, partition, versions):
+    """Log ``(key, sr, ut)`` versions into one partition's directory."""
+    from repro.persistence.manager import PartitionDurability
+    from repro.storage.version import Version
+
+    config = PersistenceConfig(enabled=True, data_dir=str(tmp_path),
+                               fsync="always")
+    durability = PartitionDurability(tmp_path, server_address(dc, partition),
+                                     config)
+    durability.recover()
+    for key, sr, ut in versions:
+        durability.append_version(
+            Version(key=key, value=ut, sr=sr, ut=ut, dv=(0, 0)))
+    durability.close()
+
+
+def _audit(tmp_path, *acked):
+    from repro.cluster.topology import Topology
+    from repro.runtime.chaos import audit_acked_writes
+    from repro.verification.history import WriteEvent
+
+    writes = [WriteEvent(client="c", key=key, version=(key, sr, ut),
+                         time_s=0.5) for key, sr, ut in acked]
+    return audit_acked_writes(Topology(2, 2), writes, tmp_path)
+
+
+def test_audit_reports_an_acked_write_missing_from_disk(tmp_path):
+    _disk(tmp_path, 0, 0, [("k1", 0, 10)])
+    # DC 1 holds a replica of the lost write: the audit is per origin
+    # DC, so another DC's copy does not excuse DC 0's loss.
+    _disk(tmp_path, 1, 0, [("k1", 0, 10), ("k2", 0, 20)])
+    acked, lost, recovered = _audit(tmp_path, ("k1", 0, 10), ("k2", 0, 20))
+    assert len(acked) == 2
+    assert len(lost) == 1 and "('k2', 0, 20)" in lost[0]
+    assert recovered == {server_address(0, 0): 1, server_address(1, 0): 2}
+
+
+def test_audit_accepts_a_write_dominated_by_a_newer_version(tmp_path):
+    # Garbage collection or a snapshot dropped ut=10; ut=30 supersedes it
+    # in last-writer-wins order, so no reader could miss the older one.
+    _disk(tmp_path, 0, 1, [("k1", 0, 30)])
+    _, lost, _ = _audit(tmp_path, ("k1", 0, 10))
+    assert lost == []
+    # An *older* version on disk does not dominate a newer acked one.
+    _, lost, _ = _audit(tmp_path, ("k1", 0, 40))
+    assert len(lost) == 1
+
+
+def test_audit_finds_a_write_moved_to_another_partition_of_its_dc(tmp_path):
+    # After a reshard the key's chain lives in a partition directory of
+    # the same DC other than its boot-time owner's (the donor purged its
+    # copy): not lost.
+    from repro.cluster.topology import Topology
+
+    owner = Topology(2, 2).partition_of("moved")
+    _disk(tmp_path, 0, owner, [])
+    _disk(tmp_path, 0, 1 - owner, [("moved", 0, 50)])
+    _, lost, recovered = _audit(tmp_path, ("moved", 0, 50))
+    assert lost == []
+    assert recovered[server_address(0, owner)] == 0

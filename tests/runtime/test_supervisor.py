@@ -154,7 +154,7 @@ def test_crash_gate_holds_through_the_supervisor(tmp_path):
         supervise=True,
     )
     assert report.live.violations == [], report.summary_text()
-    assert report.lost_victim_writes == [], report.summary_text()
+    assert report.lost_writes == [], report.summary_text()
     assert report.acked_victim_writes > 0, report.summary_text()
     assert report.ops_after_restart > 0, report.summary_text()
     assert report.server_exit_code == 0, report.summary_text()

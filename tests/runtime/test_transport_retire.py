@@ -159,3 +159,67 @@ def test_runtime_retire_peer_delegates_to_the_hub():
     assert hub.is_retired(dst)
     hub.post_frame(dst, b"view gossip")
     assert hub.stats.retired_frames == 1
+
+
+def test_drain_skips_a_channel_still_dialing(monkeypatch):
+    """A graceful shutdown drains its outgoing frames, but a peer that is
+    not listening (stopped, or stopping alongside this process) must not
+    hold the drain for the whole connect budget and then fail it: the
+    dialing channel has put nothing on the wire to wait for."""
+    hub, dst = _hub()
+    hub.stopping = True
+    live = server_address(1, 0)
+    hub.book.set(live, "127.0.0.1", 2)
+    writer = FakeWriter()
+
+    async def fake_open_connection(host, port):
+        if port == 1:
+            raise ConnectionRefusedError("nobody listening")
+        return None, writer
+
+    monkeypatch.setattr(transport.asyncio, "open_connection",
+                        fake_open_connection)
+
+    async def run() -> float:
+        hub.post_frame(dst, b"to the grave")
+        hub.post_frame(live, b"to a peer")
+        await asyncio.sleep(0.01)  # both senders ran their first dial
+        started = hub.loop.time()
+        await hub.drain()
+        elapsed = hub.loop.time() - started
+        await hub.close()
+        return elapsed
+
+    assert asyncio.run(run()) < 1.0
+    assert b"".join(writer.writes) == b"to a peer"
+    assert hub.errors == []
+
+
+def test_drain_waits_for_a_dialing_channel_mid_run(monkeypatch):
+    """Outside a graceful stop a dialing channel is not skipped: a peer
+    that restarts a moment later still gets the frames queued for it
+    before drain() returns (quiesce and resharding rely on this)."""
+    hub, dst = _hub()
+    hub.connect_policy = transport.ConnectRetryPolicy(initial_delay_s=0.01,
+                                                      jitter=0.0)
+    writer = FakeWriter()
+    refusals = [ConnectionRefusedError("restarting")] * 3
+
+    async def fake_open_connection(host, port):
+        if refusals:
+            raise refusals.pop()
+        return None, writer
+
+    monkeypatch.setattr(transport.asyncio, "open_connection",
+                        fake_open_connection)
+
+    async def run() -> None:
+        hub.post_frame(dst, b"queued while dialing")
+        await asyncio.sleep(0)  # the sender's first dial is refused
+        await hub.drain()
+        assert b"".join(writer.writes) == b"queued while dialing"
+        await hub.close()
+
+    asyncio.run(run())
+    assert refusals == []
+    assert hub.errors == []
